@@ -50,9 +50,6 @@ type Options struct {
 	// ReplayWindow is the produced-tuple window retained for late OSP
 	// satellite attachment (0 = 1024).
 	ReplayWindow int
-	// WorkersPerEngine sizes each µEngine's worker pool (0 = elastic: one
-	// goroutine per packet).
-	WorkersPerEngine int
 	// ResultCacheTuples enables the query-result cache, bounding it to this
 	// many cached tuples in total (0 = cache disabled). Queries opt in per
 	// Run with WithResultCache.
@@ -125,9 +122,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	if opts.ReplayWindow != 0 {
 		cfg.ReplayWindow = opts.ReplayWindow
-	}
-	if opts.WorkersPerEngine != 0 {
-		cfg.WorkersPerEngine = opts.WorkersPerEngine
 	}
 	if opts.MaxConcurrentQueries != 0 {
 		cfg.MaxConcurrentQueries = opts.MaxConcurrentQueries

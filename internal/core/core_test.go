@@ -17,20 +17,20 @@ import (
 
 // fakeOp is a configurable operator for runtime tests.
 type fakeOp struct {
-	op    plan.OpType
-	run   func(rt *Runtime, pkt *Packet) error
-	share func(rt *Runtime, host, sat *Packet) bool
+	op     plan.OpType
+	run    func(rt *Runtime, pkt *Packet) error
+	attach func(rt *Runtime, pkt *Packet, hosts []*Packet) bool
 }
 
 func (f *fakeOp) Op() plan.OpType { return f.op }
 
 func (f *fakeOp) Run(rt *Runtime, pkt *Packet) error { return f.run(rt, pkt) }
 
-func (f *fakeOp) TryShare(rt *Runtime, host, sat *Packet) bool {
-	if f.share == nil {
+func (f *fakeOp) TryAttach(rt *Runtime, pkt *Packet, hosts []*Packet) bool {
+	if f.attach == nil {
 		return false
 	}
-	return f.share(rt, host, sat)
+	return f.attach(rt, pkt, hosts)
 }
 
 // fakeNode is a minimal leaf plan node with a controllable signature.
@@ -116,9 +116,6 @@ func TestSignatureShareAbsorbsSatellite(t *testing.T) {
 			<-release
 			return pkt.Out.Put(tbuf.Batch{tuple.Tuple{tuple.I64(1)}})
 		},
-		share: func(rt *Runtime, host, sat *Packet) bool {
-			return host.AbsorbSatellite(sat)
-		},
 	}
 	rt := newTestRuntime(t, op)
 	node := &fakeNode{op: "x", sig: "same"}
@@ -160,8 +157,12 @@ func TestNoShareAcrossSameQuery(t *testing.T) {
 			<-release
 			return nil
 		},
-		share: func(rt *Runtime, host, sat *Packet) bool {
-			t.Error("TryShare must not be consulted for same-query packets")
+		attach: func(rt *Runtime, pkt *Packet, hosts []*Packet) bool {
+			for _, h := range hosts {
+				if h.Query == pkt.Query {
+					t.Error("a same-query packet must never be offered as a host")
+				}
+			}
 			return false
 		},
 	}
@@ -187,7 +188,7 @@ func TestOSPDisabledNeverShares(t *testing.T) {
 	op := &fakeOp{
 		op:  "x",
 		run: func(rt *Runtime, pkt *Packet) error { return nil },
-		share: func(rt *Runtime, host, sat *Packet) bool {
+		attach: func(rt *Runtime, pkt *Packet, hosts []*Packet) bool {
 			shares++
 			return true
 		},
@@ -202,7 +203,7 @@ func TestOSPDisabledNeverShares(t *testing.T) {
 	q1.Wait()
 	q2.Wait()
 	if shares != 0 {
-		t.Fatalf("OSP off but TryShare called %d times", shares)
+		t.Fatalf("OSP off but TryAttach called %d times", shares)
 	}
 }
 
@@ -278,41 +279,6 @@ func TestPacketStateStrings(t *testing.T) {
 		if s.String() == "" {
 			t.Fatalf("state %d has no name", s)
 		}
-	}
-}
-
-func TestFixedWorkerPool(t *testing.T) {
-	// With a fixed pool of 1 worker, packets serialize.
-	mgr := sm.New(sm.Config{Disk: disk.Config{BlockSize: 512}, PoolPages: 8})
-	var active, maxActive int
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
-	op := &fakeOp{op: "x", run: func(*Runtime, *Packet) error {
-		<-mu
-		active++
-		if active > maxActive {
-			maxActive = active
-		}
-		mu <- struct{}{}
-		time.Sleep(5 * time.Millisecond)
-		<-mu
-		active--
-		mu <- struct{}{}
-		return nil
-	}}
-	rt := NewRuntime(mgr, Config{WorkersPerEngine: 1}, []Operator{op})
-	defer rt.Close()
-	var qs []*Query
-	for i := 0; i < 4; i++ {
-		q, _ := rt.Submit(context.Background(), &fakeNode{op: "x", sig: fmt.Sprintf("s%d", i)})
-		qs = append(qs, q)
-	}
-	for _, q := range qs {
-		q.Result.Drain()
-		q.Wait()
-	}
-	if maxActive != 1 {
-		t.Fatalf("max concurrent packets with 1 worker: %d", maxActive)
 	}
 }
 

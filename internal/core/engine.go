@@ -1,7 +1,7 @@
 // µEngine: the per-operator micro-engine (paper Figure 6a). Each µEngine
-// owns an incoming packet queue, a pool of worker goroutines (the paper's
-// "local thread pool"), and the OSP admission hook that scans in-progress
-// work for overlap whenever a new packet queues up.
+// admits packets through one OSP step — attach to overlapping in-progress
+// work, else register as work others can attach to — and runs every
+// admitted packet on its own goroutine.
 package core
 
 import (
@@ -21,20 +21,20 @@ type Operator interface {
 	Run(rt *Runtime, pkt *Packet) error
 }
 
-// Sharer is implemented by operators supporting the default signature-based
-// OSP attach: when a new packet's signature matches an in-progress host,
-// TryShare attempts the attachment (checking the operator's window of
-// opportunity) and returns whether the new packet became a satellite.
-type Sharer interface {
-	TryShare(rt *Runtime, host, sat *Packet) bool
-}
-
-// Admitter is implemented by operators that control admission beyond
-// signature matching — the scan µEngines, whose circular scans share page
-// streams between packets with *different* predicates (§4.3.1). TryAdmit
-// returns true if the packet was absorbed without queueing.
-type Admitter interface {
-	TryAdmit(rt *Runtime, pkt *Packet) bool
+// Attacher is implemented by operators whose OSP sharing is not
+// signature-exact: the sort file streamer (§3.2 materialization) and the
+// scan µEngines' circular scan groups, which share one page stream between
+// packets with *different* predicates (§4.3.1). The µEngine calls TryAttach
+// inside its admission critical section, after no in-flight packet with
+// pkt's signature could absorb it; hosts are those signature-matching
+// packets (other queries', OSP-enabled, not cancelled). TryAttach returns
+// true when pkt was absorbed — the operator then owns its completion and
+// the µEngine never runs it. Returning false, it may prepare pkt to host
+// (a scan packet registers its pending scan group). It runs under the
+// µEngine's lock, so it must not wait on other packets or queries; a page
+// read is the most it may do.
+type Attacher interface {
+	TryAttach(rt *Runtime, pkt *Packet, hosts []*Packet) bool
 }
 
 // EngineStats counts a µEngine's activity.
@@ -47,28 +47,17 @@ type EngineStats struct {
 	Panics     int64 // operator panics quarantined (packet failed, µEngine kept serving)
 }
 
-// MicroEngine serves one operator type from a queue. Two worker models are
-// supported:
-//
-//   - Fixed pool (workers > 0): the paper's model — a local thread pool of
-//     that many workers serves the queue. A plan that stacks two nodes of
-//     the same type (e.g. a 3-way merge-join) needs at least 2 workers at
-//     that engine or the parent can starve its own child.
-//   - Elastic (workers <= 0, the default): one goroutine per admitted
-//     packet. Goroutines are the natural Go analogue of the paper's
-//     threads; elasticity removes pool-sizing deadlocks while preserving
-//     the admission queue semantics OSP needs.
+// MicroEngine serves one operator type. Every admitted packet runs on its
+// own goroutine — Go's analogue of the paper's per-µEngine thread pool,
+// without pool-sizing deadlocks (a plan stacking two nodes of one type,
+// e.g. a 3-way merge join, starves a pool of one).
 type MicroEngine struct {
-	rt      *Runtime
-	op      plan.OpType
-	impl    Operator
-	elastic bool
+	rt   *Runtime
+	op   plan.OpType
+	impl Operator
 
 	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []*Packet
-	inflight map[string][]*Packet // sig -> queued/running host packets
-	closed   bool
+	inflight map[string][]*Packet // sig -> admitted, unfinished host packets
 
 	wg sync.WaitGroup
 
@@ -80,18 +69,8 @@ type MicroEngine struct {
 	panics atomic.Int64
 }
 
-func newMicroEngine(rt *Runtime, impl Operator, workers int) *MicroEngine {
-	e := &MicroEngine{rt: rt, op: impl.Op(), impl: impl, inflight: make(map[string][]*Packet)}
-	e.cond = sync.NewCond(&e.mu)
-	if workers <= 0 {
-		e.elastic = true
-		return e
-	}
-	for i := 0; i < workers; i++ {
-		e.wg.Add(1)
-		go e.worker()
-	}
-	return e
+func newMicroEngine(rt *Runtime, impl Operator) *MicroEngine {
+	return &MicroEngine{rt: rt, op: impl.Op(), impl: impl, inflight: make(map[string][]*Packet)}
 }
 
 // Stats snapshots the engine counters.
@@ -109,10 +88,8 @@ func (e *MicroEngine) Stats() EngineStats {
 // SpawnSub runs fn as a sub-worker of this µEngine on behalf of a running
 // packet — the partitioned scan's fan-out (one sub-worker per extra
 // partition). Sub-workers are tracked by the engine's WaitGroup so close
-// waits for them, but they always run elastically (a fresh goroutine) even
-// when the engine uses a fixed pool: a partition queued behind the very
-// packet that spawned it would deadlock the scan group against pool sizing.
-// Callers must guarantee fn returns; the scan group's teardown does.
+// waits for them. Callers must guarantee fn returns; the scan group's
+// teardown does.
 func (e *MicroEngine) SpawnSub(fn func()) {
 	e.subs.Add(1)
 	e.wg.Add(1)
@@ -122,63 +99,58 @@ func (e *MicroEngine) SpawnSub(fn func()) {
 	}()
 }
 
-// Enqueue admits a packet: OSP overlap check first (paper §4.3: "every time
-// a new packet queues up in a µEngine, we scan the queue with the existing
-// packets to check for overlapping work"), then normal queueing.
+// Enqueue admits a packet (paper §4.3: "every time a new packet queues up
+// in a µEngine, we scan the queue with the existing packets to check for
+// overlapping work"). Attaching to a host and registering as one happen in
+// one critical section, so simultaneous arrivals always find each other.
+// Lock order: e.mu → Packet.satMu → SharedOut (operator locks, e.g. the
+// scan registry, nest between e.mu and satMu).
 func (e *MicroEngine) Enqueue(pkt *Packet) {
 	e.enq.Add(1)
-	if e.rt.OSPAllowed(pkt.Query) {
-		// Signature-exact sharing against queued and running packets.
-		if sharer, ok := e.impl.(Sharer); ok {
-			e.mu.Lock()
-			hosts := append([]*Packet(nil), e.inflight[pkt.Sig]...)
-			e.mu.Unlock()
-			for _, host := range hosts {
-				// A host whose query opted out of OSP (WithoutOSP) must not
-				// serve satellites either — opting out is bidirectional.
-				if host.Query == pkt.Query || host.Cancelled() || host.Query.Opts.DisableOSP {
-					continue
-				}
-				if sharer.TryShare(e.rt, host, pkt) {
-					e.absorb(host, pkt)
-					return
-				}
-			}
-		}
-		// Operator-specific admission (circular scans etc.).
-		if adm, ok := e.impl.(Admitter); ok {
-			if adm.TryAdmit(e.rt, pkt) {
-				e.sats.Add(1)
-				return
-			}
-		}
-	}
-	pkt.setState(PacketQueued)
 	e.mu.Lock()
-	e.inflight[pkt.Sig] = append(e.inflight[pkt.Sig], pkt)
-	if e.elastic {
-		e.wg.Add(1)
+	if e.rt.OSPAllowed(pkt.Query) && e.attachLocked(pkt) {
 		e.mu.Unlock()
-		go func() {
-			defer e.wg.Done()
-			e.runPacket(pkt)
-		}()
+		e.absorb(pkt)
 		return
 	}
-	e.queue = append(e.queue, pkt)
+	pkt.setState(PacketQueued)
+	e.inflight[pkt.Sig] = append(e.inflight[pkt.Sig], pkt)
+	e.wg.Add(1)
 	e.mu.Unlock()
-	e.cond.Signal()
+	go func() {
+		defer e.wg.Done()
+		e.runPacket(pkt)
+	}()
 }
 
-// absorb completes the satellite bookkeeping after a successful TryShare:
-// the satellite's children are cancelled and the packet is parked on the
-// host (OSP coordinator steps 1-2, Figure 6b). The list/port commit itself
-// already happened atomically inside TryShare (Packet.AbsorbSatellite or an
-// operator-specific mechanism like the sort file streamer).
-func (e *MicroEngine) absorb(host, sat *Packet) {
-	// Terminate everything *beneath* the satellite — but not the satellite
-	// packet itself: its output port stays live (the host, or a
-	// materialization streamer, feeds it).
+// attachLocked tries the signature-exact attach against every in-flight
+// host, then the operator's own sharing (Attacher). A host attaches while
+// it has produced nothing (full/step overlap) or while all its output still
+// fits the replay window (the buffering enhancement); AbsorbSatellite makes
+// that commit atomic against the host's teardown.
+func (e *MicroEngine) attachLocked(pkt *Packet) bool {
+	var hosts []*Packet
+	for _, host := range e.inflight[pkt.Sig] {
+		// A host whose query opted out of OSP (WithoutOSP) must not serve
+		// satellites either — opting out is bidirectional.
+		if host.Query == pkt.Query || host.Cancelled() || host.Query.Opts.DisableOSP {
+			continue
+		}
+		if host.AbsorbSatellite(pkt) {
+			return true
+		}
+		hosts = append(hosts, host)
+	}
+	a, ok := e.impl.(Attacher)
+	return ok && a.TryAttach(e.rt, pkt, hosts)
+}
+
+// absorb completes the satellite bookkeeping after a successful attach,
+// outside e.mu: everything *beneath* the satellite is terminated (OSP
+// coordinator steps 1-2, Figure 6b) — but not the satellite packet itself,
+// whose output port stays live (its host, a scan group or a sort file
+// streamer feeds it).
+func (e *MicroEngine) absorb(sat *Packet) {
 	for _, in := range sat.Inputs {
 		in.Abandon()
 	}
@@ -187,6 +159,7 @@ func (e *MicroEngine) absorb(host, sat *Packet) {
 		c.markDone(nil, PacketCancelled)
 		sat.Query.Stats.CancelledSubtreePackets.Add(1)
 	}
+	sat.Query.Stats.SatelliteAttaches.Add(1)
 	e.sats.Add(1)
 	e.rt.noteShare(e.op)
 }
@@ -206,45 +179,19 @@ func (e *MicroEngine) removeInflight(pkt *Packet) {
 	}
 }
 
-func (e *MicroEngine) worker() {
-	defer e.wg.Done()
-	for {
-		e.mu.Lock()
-		for len(e.queue) == 0 && !e.closed {
-			e.cond.Wait()
-		}
-		if e.closed && len(e.queue) == 0 {
-			e.mu.Unlock()
-			return
-		}
-		pkt := e.queue[0]
-		e.queue = e.queue[1:]
-		e.mu.Unlock()
-
-		e.runPacket(pkt)
-	}
-}
-
 func (e *MicroEngine) runPacket(pkt *Packet) {
 	defer e.removeInflight(pkt)
-	if pkt.Cancelled() {
-		e.rescueSatellites(pkt)
-		// Unblock producing children exactly as the normal exit path does.
-		for _, in := range pkt.Inputs {
-			in.Abandon()
-		}
-		cerr := pkt.Query.CancelErr()
-		pkt.Out.Close(cerr)
-		pkt.finish(cerr)
-		return
-	}
+	// A packet cancelled before it starts still runs: operators observe
+	// cancellation through their abandoned ports and flags and return
+	// promptly, and a scan packet must drive the scan group it registered
+	// at admission for the satellites already attached to it.
 	pkt.setState(PacketRunning)
 	err := func() (err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				// Panic quarantine: the packet fails with a typed error, its
-				// satellites are detached and rescued below exactly like the
-				// cancel path, and this worker returns normally so the µEngine
+				// satellites are detached and rescued below exactly like a
+				// cancelled host's, and this goroutine returns normally so the µEngine
 				// keeps serving subsequent packets.
 				err = &PanicError{Op: e.op, Value: r}
 				e.panics.Add(1)
@@ -288,8 +235,8 @@ func (e *MicroEngine) runPacket(pkt *Packet) {
 // and re-running would duplicate tuples — they stay absorbed and inherit the
 // host's terminal state. Must run before the host closes its port. Sealing
 // the satellite list first closes the absorb race: an AbsorbSatellite
-// against this dying host after the seal fails, and its packet queues
-// normally instead of missing both rescue and finish.
+// against this dying host after the seal fails, and its packet is admitted
+// as a host instead of missing both rescue and finish.
 func (e *MicroEngine) rescueSatellites(pkt *Packet) {
 	sats := pkt.sealSatellites()
 	if pkt.Out.Produced() > 0 {
@@ -317,10 +264,4 @@ func (e *MicroEngine) rescueSatellites(pkt *Packet) {
 	}
 }
 
-func (e *MicroEngine) close() {
-	e.mu.Lock()
-	e.closed = true
-	e.mu.Unlock()
-	e.cond.Broadcast()
-	e.wg.Wait()
-}
+func (e *MicroEngine) close() { e.wg.Wait() }

@@ -10,17 +10,17 @@ import (
 	"qpipe/internal/plan"
 )
 
-// Complete finishes a packet that an operator served outside the normal
-// engine worker loop — absorbed circular-scan consumers and file-streaming
-// sort satellites complete this way. Idempotent.
+// Complete finishes a packet that an operator served without its µEngine
+// running it — scan-group consumers and file-streaming sort satellites
+// complete this way. Idempotent.
 func (p *Packet) Complete(err error) {
 	p.Out.Close(err)
 	p.finish(err)
 }
 
-// NoteShare records one OSP sharing event at the given operator type
-// (exposed for operator-specific admission paths like circular scans; the
-// default signature-based path records automatically).
+// NoteShare records one OSP sharing event at the given operator type, for
+// sharing that happens outside µEngine admission (the merge-join split;
+// admission records its own).
 func (rt *Runtime) NoteShare(op plan.OpType) { rt.noteShare(op) }
 
 // BatchSize returns the configured tuples-per-batch target for operators.

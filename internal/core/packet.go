@@ -1,7 +1,7 @@
 // Package core implements the QPipe runtime: the paper's primary
 // contribution (§4). Queries arrive as precompiled plans, are cut into one
 // packet per plan node by the packet dispatcher, and queue up at per-operator
-// micro-engines (µEngines) that serve them with worker pools. On-demand
+// micro-engines (µEngines) that run each on its own goroutine. On-demand
 // simultaneous pipelining (OSP) happens at packet admission: a new packet
 // whose encoded argument list matches in-progress work becomes a *satellite*
 // of the in-progress *host* packet and receives the host's output
@@ -77,8 +77,8 @@ type Packet struct {
 // can never interleave with the host's teardown — which would otherwise
 // strand the satellite (attached after the final sweep, done channel never
 // closed) or hand an innocent query the host's terminal error. Fails once
-// the host has sealed or its port stopped accepting consumers; the caller
-// then falls back to normal queueing.
+// the host has sealed or its port stopped accepting consumers; the µEngine
+// then tries the next host, or admits the packet as a host itself.
 func (p *Packet) AbsorbSatellite(sat *Packet) bool {
 	p.satMu.Lock()
 	defer p.satMu.Unlock()
@@ -92,7 +92,6 @@ func (p *Packet) AbsorbSatellite(sat *Packet) bool {
 	sat.setState(PacketSatellite)
 	p.satellites = append(p.satellites, sat)
 	p.Query.Stats.HostedSatellites.Add(1)
-	sat.Query.Stats.SatelliteAttaches.Add(1)
 	return true
 }
 
@@ -132,7 +131,7 @@ func (p *Packet) removeSatellite(sat *Packet) {
 }
 
 // sealSatellites closes the host's satellite list to further absorbs (a
-// late AbsorbSatellite fails and its packet falls back to normal queueing)
+// late AbsorbSatellite fails and its packet is admitted as a host instead)
 // and returns the current set. Idempotent.
 func (p *Packet) sealSatellites() []*Packet {
 	p.satMu.Lock()

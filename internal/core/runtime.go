@@ -23,9 +23,6 @@ type Config struct {
 	// OSP enables on-demand simultaneous pipelining. Disabled, the runtime
 	// is the paper's "Baseline": same engine, no sharing beyond the pool.
 	OSP bool
-	// WorkersPerEngine sizes each µEngine's worker pool; <= 0 selects
-	// elastic mode (a goroutine per packet — see MicroEngine).
-	WorkersPerEngine int
 	// ScanParallelism is the partition fan-out for unordered table and
 	// clustered-index scans: the page range splits into that many contiguous
 	// partitions served concurrently by scan sub-workers, each with its own
@@ -183,7 +180,7 @@ func NewRuntime(s *sm.Manager, cfg Config, operators []Operator) *Runtime {
 		if _, dup := rt.engines[op.Op()]; dup {
 			panic(fmt.Sprintf("core: duplicate operator for %s", op.Op()))
 		}
-		rt.engines[op.Op()] = newMicroEngine(rt, op, cfg.WorkersPerEngine)
+		rt.engines[op.Op()] = newMicroEngine(rt, op)
 	}
 	if cfg.DeadlockInterval > 0 {
 		rt.detector = newDetector(rt, cfg.DeadlockInterval)

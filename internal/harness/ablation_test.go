@@ -111,29 +111,6 @@ func TestAblationReplayWindow(t *testing.T) {
 	}
 }
 
-// TestAblationFixedWorkerPools: the engine must behave identically (same
-// results) under the paper's fixed per-µEngine thread pools, provided the
-// pool is deep enough for the plan shapes in use.
-func TestAblationFixedWorkerPools(t *testing.T) {
-	env, err := NewTPCHEnv(tinyScale(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer env.Close()
-	cfg := core.DefaultConfig()
-	cfg.WorkersPerEngine = 4
-	sys, err := env.NewQPipeWith("qpipe-fixed", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := tpch.DefaultParams()
-	for _, qn := range tpch.MixQueries {
-		if err := sys.Exec(context.Background(), tpch.Query(qn, params)); err != nil {
-			t.Fatalf("Q%d under fixed pools: %v", qn, err)
-		}
-	}
-}
-
 // TestAblationDeadlockDetectorOff: with the detector disabled the engine
 // still completes ordinary (acyclic) workloads.
 func TestAblationDeadlockDetectorOff(t *testing.T) {

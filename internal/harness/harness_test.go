@@ -137,7 +137,7 @@ func TestFig8Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer env.Close()
-	figs, err := Fig8CircularScan(env, []int{4}, []float64{0.3, 0.6})
+	figs, err := Fig8CircularScan(env, []int{4}, []float64{0, 0.3, 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}

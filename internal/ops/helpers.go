@@ -206,16 +206,3 @@ func emitBatch(em *emitter, pool *tbuf.BatchPool, out tbuf.Batch) error {
 	pool.Put(out)
 	return nil
 }
-
-// defaultTryShare is the signature-exact OSP attach used by operators whose
-// window of opportunity is fully captured by output timing: attach succeeds
-// while the host has produced nothing (full/step overlap) or while all its
-// output still fits the replay window (the buffering enhancement). The
-// commit is atomic against the host's teardown (see AbsorbSatellite).
-func defaultTryShare(host, sat *core.Packet) bool {
-	st := host.State()
-	if st == core.PacketDone || st == core.PacketCancelled || st == core.PacketSatellite {
-		return false
-	}
-	return host.AbsorbSatellite(sat)
-}

@@ -61,59 +61,73 @@ func NewIndexScanOp() *IndexScanOp {
 // Op implements core.Operator.
 func (o *IndexScanOp) Op() plan.OpType { return plan.OpIndexScan }
 
-// TryShare is the signature-exact attach (identical index scans dedupe; an
-// unclustered scan is shareable during its whole RID-building phase).
-func (o *IndexScanOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
-// TryAdmit admits clustered full scans onto in-progress scanners of the
-// same index (linear overlap when unordered, spike when ordered). For
-// ordered *selective* scans whose spike WoP has expired, it applies the
-// paper's materialization enhancement (§4.3.2 second case / Figure 4b):
-// the packet attaches to the in-progress scan anyway, saving the cheap
-// qualifying suffix tuples out of order; when its own fresh scan of the
-// missed prefix completes (delivered in order), the saved results — which
-// are already in key order, being leaf-ordered — complete the stream.
-func (o *IndexScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet) bool {
+// TryAttach implements core.Attacher for full clustered scans — the only
+// index scans that run as scan groups: linear overlap on a live group of
+// the same index when unordered, spike when ordered. For ordered
+// *selective* scans whose spike WoP has expired, it applies the paper's
+// materialization enhancement (§4.3.2 second case / Figure 4b): the packet
+// attaches to the in-progress scan anyway, saving the cheap qualifying
+// suffix tuples out of order; when its own fresh scan of the missed prefix
+// completes (delivered in order), the saved results — which are already in
+// key order, being leaf-ordered — complete the stream. A packet that
+// attaches nowhere registers its own group, pending until its Run. The
+// first admission per index reads the tree's leaf list (leafCache).
+func (o *IndexScanOp) TryAttach(rt *core.Runtime, pkt *core.Packet, _ []*core.Packet) bool {
 	node := pkt.Node.(*plan.IndexScan)
-	if !node.Clustered || node.Lo.IsValid() || node.Hi.IsValid() {
+	tb, err := rt.SM.Table(node.Table)
+	if err != nil {
 		return false
 	}
-	attached := o.reg.visit(o.key(node), func(s *scanner) bool {
-		requireStart := node.Ordered || !s.circular
-		c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
-		_, ok := s.attach(c, requireStart)
-		return ok
-	})
-	if !attached && node.Ordered && node.Filter != nil {
-		attached = o.tryMaterializedOrderedShare(rt, pkt)
+	src := o.fullScan(tb, node)
+	if src == nil {
+		return false
 	}
-	if attached {
-		pkt.Query.Stats.SatelliteAttaches.Add(1)
-		rt.NoteShare(plan.OpIndexScan)
-		for _, ch := range pkt.Children {
-			ch.CancelSubtree()
+	c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
+	return o.reg.admit(o.key(node), pkt, func(groups []*scanner) bool {
+		if attachAny(groups, c, node.Ordered) {
+			return true
 		}
+		return node.Ordered && node.Filter != nil && o.tryMaterializedOrderedShare(rt, pkt, groups)
+	}, func() *scanner { return o.newGroup(rt, pkt, src) })
+}
+
+// fullScan returns the leaf source of a full clustered scan, or nil for
+// every other index scan (bounded, partial, unclustered, or invalid — Run
+// reports the latter's error).
+func (o *IndexScanOp) fullScan(tb *sm.Table, node *plan.IndexScan) *leafSource {
+	tr := tb.Clustered
+	if !node.Clustered || tr == nil || tb.ClusteredKey != node.Col || node.Lo.IsValid() || node.Hi.IsValid() || node.LeafFrom > 0 {
+		return nil
 	}
-	return attached
+	pnos, err := o.leaves(tr)
+	if err != nil || (node.LeafTo >= 0 && node.LeafTo < len(pnos)) {
+		return nil
+	}
+	return &leafSource{tree: tr, pnos: pnos, ncols: tb.Schema.Len()}
+}
+
+// newGroup builds the scan group pkt hosts. Unordered full clustered scans
+// partition like table scans (leaf order is irrelevant to their consumers);
+// ordered scans stay single-partition so the leaf stream keeps key order
+// (newScanner enforces this).
+func (o *IndexScanOp) newGroup(rt *core.Runtime, pkt *core.Packet, src *leafSource) *scanner {
+	node := pkt.Node.(*plan.IndexScan)
+	return hostGroup(rt, pkt, src, !node.Ordered, rt.ParallelismFor(pkt.Query, 0), node.Filter, node.Project)
 }
 
 // tryMaterializedOrderedShare implements the §4.3.2 materialization path
-// for a selective order-sensitive scan: piggyback on the in-progress scan
-// for the suffix (materializing qualifying tuples), read the missed prefix
-// fresh and in order, then emit the saved suffix — whose leaf order IS key
-// order — giving the consumer a fully ordered stream while skipping the
-// suffix's I/O.
-func (o *IndexScanOp) tryMaterializedOrderedShare(rt *core.Runtime, pkt *core.Packet) bool {
+// for a selective order-sensitive scan: piggyback on an in-progress ordered
+// scan among groups for the suffix (materializing qualifying tuples), read
+// the missed prefix fresh and in order, then emit the saved suffix — whose
+// leaf order IS key order — giving the consumer a fully ordered stream
+// while skipping the suffix's I/O.
+func (o *IndexScanOp) tryMaterializedOrderedShare(rt *core.Runtime, pkt *core.Packet, groups []*scanner) bool {
 	node := pkt.Node.(*plan.IndexScan)
 	collector, colBuf := rt.NewInternalPacket(pkt.Query, node)
 	colBuf.SetUnbounded() // materialization: never throttle the host scan
-	start, ok := o.AttachOrderedSuffix(node.Table, node.Col, collector, node.Filter, node.Project)
+	start, ok := attachSuffixAny(groups, &scanConsumer{pkt: collector, filter: node.Filter, project: node.Project})
 	if !ok || start == 0 {
-		if ok {
-			collector.Complete(nil)
-		}
+		collector.Complete(nil)
 		return false
 	}
 	go func() {
@@ -213,19 +227,20 @@ func (o *IndexScanOp) ScanProgress(table, col string) (pos, total int64, ok bool
 // the end (in key order). Returns the start position. The caller owns the
 // complement (leaves 0..start-1). This is the §4.3.2 mechanism.
 func (o *IndexScanOp) AttachOrderedSuffix(table, col string, pkt *core.Packet, filter expr.Pred, project []int) (int64, bool) {
-	var start int64
-	ok := o.reg.visit("cix:"+table+":"+col, func(s *scanner) bool {
-		if s.circular {
-			return false
+	o.reg.mu.Lock()
+	defer o.reg.mu.Unlock()
+	return attachSuffixAny(o.reg.scanners["cix:"+table+":"+col], &scanConsumer{pkt: pkt, filter: filter, project: project})
+}
+
+// attachSuffixAny attaches c to the unread suffix of the first ordered
+// (one-shot) group that has one, returning where the suffix starts.
+func attachSuffixAny(groups []*scanner, c *scanConsumer) (int64, bool) {
+	for _, s := range groups {
+		if start, ok := s.attachSuffix(c); ok {
+			return start, true
 		}
-		c := &scanConsumer{pkt: pkt, filter: filter, project: project}
-		p, attached := s.attachSuffix(c)
-		if attached {
-			start = p
-		}
-		return attached
-	})
-	return start, ok
+	}
+	return 0, false
 }
 
 // Run implements core.Operator.
@@ -331,22 +346,7 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 		}
 		return emitResult(em.flush())
 	}
-	// Unordered full clustered scans partition like table scans (leaf order
-	// is irrelevant to their consumers); ordered scans stay single-partition
-	// so the leaf stream keeps key order (newScanner enforces this).
-	s := newScanner(pkt.ID, src, !node.Ordered, rt.ParallelismFor(pkt.Query, 0))
-	s.pool = rt.BatchPool()
-	if eng := rt.Engine(plan.OpIndexScan); eng != nil {
-		s.spawn = eng.SpawnSub
-	}
-	c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
-	s.attach(c, false)
-	if rt.OSPAllowed(pkt.Query) {
-		key := o.key(node)
-		o.reg.add(key, s)
-		defer o.reg.remove(key, s)
-	}
-	return s.run()
+	return driveGroup(o.reg, o.key(node), pkt, func() *scanner { return o.newGroup(rt, pkt, src) })
 }
 
 func (o *IndexScanOp) runUnclustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Table, node *plan.IndexScan) error {
@@ -356,7 +356,7 @@ func (o *IndexScanOp) runUnclustered(rt *core.Runtime, pkt *core.Packet, tb *sm.
 	}
 	// Phase 1: probe the index, building the RID list (with each entry's
 	// key — see the ghost re-check below). Full overlap: any identical
-	// packet arriving now attaches via TryShare since no output has been
+	// packet arriving now attaches at admission since no output has been
 	// produced.
 	type entry struct {
 		rid heap.RID
@@ -424,6 +424,5 @@ func (o *IndexScanOp) runUnclustered(rt *core.Runtime, pkt *core.Packet, tb *sm.
 
 var _ interface {
 	core.Operator
-	core.Sharer
-	core.Admitter
+	core.Attacher
 } = (*IndexScanOp)(nil)

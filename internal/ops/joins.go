@@ -35,11 +35,6 @@ func NewMergeJoinOp(iscan *IndexScanOp) *MergeJoinOp { return &MergeJoinOp{iscan
 // Op implements core.Operator.
 func (*MergeJoinOp) Op() plan.OpType { return plan.OpMergeJoin }
 
-// TryShare implements signature-exact sharing (step WoP + replay window).
-func (*MergeJoinOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
 // Run implements core.Operator.
 func (o *MergeJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.MergeJoin)
@@ -241,14 +236,6 @@ func NewHashJoinOp() *HashJoinOp { return &HashJoinOp{} }
 
 // Op implements core.Operator.
 func (*HashJoinOp) Op() plan.OpType { return plan.OpHashJoin }
-
-// TryShare implements signature-exact sharing. The attach succeeds through
-// the entire build phase (full overlap — no output is produced while
-// building) and into the probe phase while output fits the replay window
-// (step overlap + buffering), reproducing Figure 11's WoP.
-func (*HashJoinOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
 
 // Run implements core.Operator.
 func (o *HashJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
@@ -581,11 +568,6 @@ func NewNLJoinOp() *NLJoinOp { return &NLJoinOp{} }
 // Op implements core.Operator.
 func (*NLJoinOp) Op() plan.OpType { return plan.OpNLJoin }
 
-// TryShare implements signature-exact sharing.
-func (*NLJoinOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
 // Run implements core.Operator: the inner (right) input is materialized in
 // memory, the outer streams.
 func (*NLJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
@@ -615,16 +597,3 @@ func (*NLJoinOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 		}
 	}
 }
-
-var _ interface {
-	core.Operator
-	core.Sharer
-} = (*MergeJoinOp)(nil)
-var _ interface {
-	core.Operator
-	core.Sharer
-} = (*HashJoinOp)(nil)
-var _ interface {
-	core.Operator
-	core.Sharer
-} = (*NLJoinOp)(nil)

@@ -27,11 +27,6 @@ func NewFilterOp() *FilterOp { return &FilterOp{} }
 // Op implements core.Operator.
 func (*FilterOp) Op() plan.OpType { return plan.OpFilter }
 
-// TryShare implements signature-exact sharing.
-func (*FilterOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
 // Run implements core.Operator.
 func (*FilterOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.Filter)
@@ -61,11 +56,6 @@ func NewProjectOp() *ProjectOp { return &ProjectOp{} }
 
 // Op implements core.Operator.
 func (*ProjectOp) Op() plan.OpType { return plan.OpProject }
-
-// TryShare implements signature-exact sharing.
-func (*ProjectOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
 
 // Run implements core.Operator.
 func (*ProjectOp) Run(rt *core.Runtime, pkt *core.Packet) error {
@@ -103,11 +93,6 @@ func NewAggregateOp() *AggregateOp { return &AggregateOp{} }
 
 // Op implements core.Operator.
 func (*AggregateOp) Op() plan.OpType { return plan.OpAggregate }
-
-// TryShare implements signature-exact sharing (full WoP).
-func (*AggregateOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
 
 // Run implements core.Operator.
 func (*AggregateOp) Run(rt *core.Runtime, pkt *core.Packet) error {
@@ -292,11 +277,6 @@ func NewGroupByOp() *GroupByOp { return &GroupByOp{} }
 // Op implements core.Operator.
 func (*GroupByOp) Op() plan.OpType { return plan.OpGroupBy }
 
-// TryShare implements signature-exact sharing.
-func (*GroupByOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
 // Run implements core.Operator.
 func (o *GroupByOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.GroupBy)
@@ -342,8 +322,8 @@ func (o *GroupByOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 }
 
 // UpdateOp runs table mutations (INSERT/UPDATE/DELETE) as storage-manager
-// transactions. It deliberately implements neither Sharer nor Admitter:
-// mutation packets are never shared.
+// transactions. Mutation packets are never shared: each carries a unique
+// signature (plan.Update.Signature) and the operator is not a core.Attacher.
 type UpdateOp struct{}
 
 // NewUpdateOp creates the update µEngine implementation.
@@ -359,6 +339,11 @@ func (*UpdateOp) Op() plan.OpType { return plan.OpUpdate }
 func (*UpdateOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	node := pkt.Node.(*plan.Update)
 	ctx := pkt.Query.Ctx()
+	// The µEngine runs packets whose query is already cancelled (operators
+	// observe cancellation themselves); a mutation must then not commit.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	tx := rt.SM.Begin()
 	n, err := StageMutation(ctx, tx, node)
 	if err != nil {

@@ -309,9 +309,9 @@ func (s *scanner) serve(c *scanConsumer, k int, tuples []tuple.Tuple) {
 	if len(out) > 0 {
 		if err := c.pkt.Out.Put(out); err != nil {
 			if errors.Is(err, tbuf.ErrConsumersGone) || errors.Is(err, tbuf.ErrAbandoned) {
-				// Consumer gone (query cancelled or absorbed elsewhere):
-				// a clean early stop for this packet.
-				s.detach(c, nil)
+				// Consumer gone: a clean early stop for a packet absorbed
+				// elsewhere, the cancellation error for a cancelled query.
+				s.detach(c, c.pkt.Query.CancelErr())
 			} else {
 				// Hard failure delivering pages: surface it on the
 				// consumer's packet instead of reporting a clean stop.
@@ -328,7 +328,7 @@ func (s *scanner) serve(c *scanConsumer, k int, tuples []tuple.Tuple) {
 			// than scanning the rest of the table for a dead query. (A cancelled
 			// consumer with live satellites still attached keeps being served:
 			// it is their conduit.)
-			s.detach(c, nil)
+			s.detach(c, c.pkt.Query.CancelErr())
 			return
 		}
 	}
@@ -374,20 +374,43 @@ func (s *scanner) fail(err error) {
 	}
 }
 
-// scanRegistry tracks live scanners per key (table, or table+index).
+// scanRegistry tracks the live scan groups per key (table, or table+index):
+// pending groups, registered by their host packet at admission, and running
+// ones. hosted maps each host packet to the group its Run drives.
 type scanRegistry struct {
 	mu       sync.Mutex
 	scanners map[string][]*scanner
+	hosted   map[*core.Packet]*scanner
 }
 
 func newScanRegistry() *scanRegistry {
-	return &scanRegistry{scanners: make(map[string][]*scanner)}
+	return &scanRegistry{scanners: make(map[string][]*scanner), hosted: make(map[*core.Packet]*scanner)}
 }
 
-func (r *scanRegistry) add(key string, s *scanner) {
+// admit is a scan µEngine's OSP step: attach tries pkt on the key's live
+// groups; when it attaches nowhere, the group newGroup builds (already
+// serving pkt) is registered, pending until pkt's Run claims and drives it.
+// One critical section, so simultaneous arrivals always share one group.
+func (r *scanRegistry) admit(key string, pkt *core.Packet, attach func([]*scanner) bool, newGroup func() *scanner) bool {
 	r.mu.Lock()
+	defer r.mu.Unlock()
+	if attach(r.scanners[key]) {
+		return true
+	}
+	s := newGroup()
 	r.scanners[key] = append(r.scanners[key], s)
-	r.mu.Unlock()
+	r.hosted[pkt] = s
+	return false
+}
+
+// claim returns the group pkt registered at admission (nil when it
+// registered none: its query runs without OSP).
+func (r *scanRegistry) claim(pkt *core.Packet) *scanner {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	s := r.hosted[pkt]
+	delete(r.hosted, pkt)
+	return s
 }
 
 func (r *scanRegistry) remove(key string, s *scanner) {
@@ -418,6 +441,43 @@ func (r *scanRegistry) visit(key string, fn func(*scanner) bool) bool {
 	return false
 }
 
+// attachAny attaches c to the first of groups that accepts it. Ordered
+// consumers have a spike WoP; unordered consumers can join a circular scan
+// group anywhere but a one-shot (ordered) scanner only at its very start.
+func attachAny(groups []*scanner, c *scanConsumer, ordered bool) bool {
+	for _, s := range groups {
+		if _, ok := s.attach(c, ordered || !s.circular); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// hostGroup builds the scan group pkt hosts over src, with pkt as its first
+// consumer. Extra partitions fan out to the µEngine's sub-workers.
+func hostGroup(rt *core.Runtime, pkt *core.Packet, src pageSource, circular bool, parallelism int, filter expr.Pred, project []int) *scanner {
+	s := newScanner(pkt.ID, src, circular, parallelism)
+	s.pool = rt.BatchPool()
+	if eng := rt.Engine(pkt.Node.Op()); eng != nil {
+		s.spawn = eng.SpawnSub
+	}
+	s.attach(&scanConsumer{pkt: pkt, filter: filter, project: project}, false)
+	return s
+}
+
+// driveGroup runs pkt's scan group: the one it registered at admission
+// (which leaves the registry once driven), or — when its query runs without
+// OSP — a private one from newGroup.
+func driveGroup(reg *scanRegistry, key string, pkt *core.Packet, newGroup func() *scanner) error {
+	s := reg.claim(pkt)
+	if s == nil {
+		s = newGroup()
+	} else {
+		defer reg.remove(key, s)
+	}
+	return s.run()
+}
+
 // ---- Table-scan µEngine -------------------------------------------------------
 
 // heapSource reads heap-file pages.
@@ -443,73 +503,53 @@ func NewTableScanOp() *TableScanOp { return &TableScanOp{reg: newScanRegistry()}
 // Op implements core.Operator.
 func (o *TableScanOp) Op() plan.OpType { return plan.OpTableScan }
 
-// TryShare implements the signature-exact fast path: two packets with
-// identical table, predicate and ordering dedupe completely.
-func (o *TableScanOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	return defaultTryShare(host, sat)
-}
-
-// TryAdmit implements circular-scan admission: an unordered scan packet
-// piggybacks on any in-progress scan group of the same table regardless of
-// predicates or partitioning. Ordered scans have a spike WoP — they may only
-// piggyback on a single-partition scanner still at page 0 (the "first output
-// page still in memory" case).
-func (o *TableScanOp) TryAdmit(rt *core.Runtime, pkt *core.Packet) bool {
-	node := pkt.Node.(*plan.TableScan)
-	attached := o.reg.visit("tbl:"+node.Table, func(s *scanner) bool {
-		// Ordered consumers have a spike WoP; unordered consumers can join a
-		// circular scan group anywhere but a one-shot (ordered) scanner only
-		// at its very start.
-		requireStart := node.Ordered || !s.circular
-		c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
-		_, ok := s.attach(c, requireStart)
-		return ok
-	})
-	if attached {
-		pkt.Query.Stats.SatelliteAttaches.Add(1)
-		rt.NoteShare(plan.OpTableScan)
-		for _, ch := range pkt.Children {
-			ch.CancelSubtree()
-		}
-	}
-	return attached
-}
-
-// Run implements core.Operator: the packet becomes the host of a new scan
-// group serving itself and any satellites that attach later. Partition 0 is
-// driven by this worker; extra partitions fan out to scan sub-workers.
-func (o *TableScanOp) Run(rt *core.Runtime, pkt *core.Packet) error {
+// TryAttach implements core.Attacher: circular-scan admission. An
+// unordered scan packet piggybacks on any live scan group of the same table
+// — pending or running — regardless of predicates or partitioning; ordered
+// scans only on a single-partition group still at page 0. A packet that
+// attaches nowhere registers its own group, pending until its Run.
+func (o *TableScanOp) TryAttach(rt *core.Runtime, pkt *core.Packet, _ []*core.Packet) bool {
 	node := pkt.Node.(*plan.TableScan)
 	tb, err := rt.SM.Table(node.Table)
 	if err != nil {
-		return err
+		return false // Run reports the error
 	}
+	c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
+	return o.reg.admit(o.key(node), pkt,
+		func(groups []*scanner) bool { return attachAny(groups, c, node.Ordered) },
+		func() *scanner { return o.newGroup(rt, pkt, tb) })
+}
+
+func (o *TableScanOp) key(node *plan.TableScan) string { return "tbl:" + node.Table }
+
+func (o *TableScanOp) newGroup(rt *core.Runtime, pkt *core.Packet, tb *sm.Table) *scanner {
+	node := pkt.Node.(*plan.TableScan)
+	return hostGroup(rt, pkt, heapSource{f: tb.Heap}, !node.Ordered,
+		rt.ParallelismFor(pkt.Query, node.Parallelism), node.Filter, node.Project)
+}
+
+// Run implements core.Operator: the packet drives the scan group it hosts,
+// serving itself and every satellite attached since admission. Partition 0
+// runs on this goroutine; extra partitions fan out to scan sub-workers.
+func (o *TableScanOp) Run(rt *core.Runtime, pkt *core.Packet) error {
+	node := pkt.Node.(*plan.TableScan)
 	// No lock is taken here: the query acquired its shared lock on the
 	// table at submit (§4.3.4 — "if a table is locked for writing, the scan
 	// packet will simply wait, and with it all satellite ones"; the wait now
 	// happens at admission). Every attached satellite's own query holds its
 	// own shared lock, so the group's page reads stay covered even after
 	// the host query finishes.
-	src := heapSource{f: tb.Heap}
-	s := newScanner(pkt.ID, src, !node.Ordered, rt.ParallelismFor(pkt.Query, node.Parallelism))
-	s.pool = rt.BatchPool()
-	if eng := rt.Engine(plan.OpTableScan); eng != nil {
-		s.spawn = eng.SpawnSub
+	tb, err := rt.SM.Table(node.Table)
+	if err != nil {
+		return err // TryAttach registers no group for an unknown table
 	}
-	c := &scanConsumer{pkt: pkt, filter: node.Filter, project: node.Project}
-	s.attach(c, false)
-	key := "tbl:" + node.Table
-	if rt.OSPAllowed(pkt.Query) {
-		o.reg.add(key, s)
-		defer o.reg.remove(key, s)
-	}
-	// Snapshot fence: the scan group (host plus any satellites that attach
-	// mid-flight) must observe one committed state of the table. The overlap
-	// chain of query-level shared locks excludes committing writers for the
-	// group's whole life; checking the commit counter turns a violation of
-	// that invariant into a hard error instead of silently torn results.
+	// Snapshot fence: the scan group (host plus any satellites) must observe
+	// one committed state of the table. The overlap chain of query-level
+	// shared locks excludes committing writers for the group's whole life;
+	// checking the commit counter turns a violation of that invariant into a
+	// hard error instead of silently torn results.
 	fence := tb.CommitSeq()
-	if err := s.run(); err != nil {
+	if err := driveGroup(o.reg, o.key(node), pkt, func() *scanner { return o.newGroup(rt, pkt, tb) }); err != nil {
 		return err
 	}
 	if end := tb.CommitSeq(); end != fence {
@@ -520,6 +560,5 @@ func (o *TableScanOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 
 var _ interface {
 	core.Operator
-	core.Sharer
-	core.Admitter
+	core.Attacher
 } = (*TableScanOp)(nil)

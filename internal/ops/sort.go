@@ -48,14 +48,22 @@ func NewSortOp() *SortOp { return &SortOp{states: make(map[int64]*sortState)} }
 // Op implements core.Operator.
 func (*SortOp) Op() plan.OpType { return plan.OpSort }
 
-// TryShare implements the sort µEngine's sharing mechanism. During phase 1
-// the default attach succeeds (no output yet). During phase 2 the satellite
-// reuses the host's materialized sorted file, streamed by a dedicated
-// goroutine; the satellite skips the entire sort cost.
-func (o *SortOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
-	if defaultTryShare(host, sat) {
-		return true
+// TryAttach implements core.Attacher: the phase-2 half of the sort
+// µEngine's sharing. During phase 1 the µEngine's signature-exact attach
+// succeeds (no output yet); once a host streams its sorted file past the
+// replay window, the satellite reuses that materialized file instead,
+// streamed by a dedicated goroutine, and skips the entire sort cost.
+func (o *SortOp) TryAttach(rt *core.Runtime, sat *core.Packet, hosts []*core.Packet) bool {
+	for _, host := range hosts {
+		if o.streamTo(rt, host, sat) {
+			return true
+		}
 	}
+	return false
+}
+
+// streamTo starts streaming host's sorted file to sat, if the file is ready.
+func (o *SortOp) streamTo(rt *core.Runtime, host, sat *core.Packet) bool {
 	o.mu.Lock()
 	st := o.states[host.ID]
 	o.mu.Unlock()
@@ -72,9 +80,8 @@ func (o *SortOp) TryShare(rt *core.Runtime, host, sat *core.Packet) bool {
 	// The satellite is fed by the file streamer, not the host's port, so it
 	// is deliberately NOT on the host's satellite list — the host finishing
 	// (or dying) mid-stream must not complete it out from under the
-	// streamer. Record the sharing stats AbsorbSatellite would have.
+	// streamer. Record the hosting stat AbsorbSatellite would have.
 	host.Query.Stats.HostedSatellites.Add(1)
-	sat.Query.Stats.SatelliteAttaches.Add(1)
 
 	go func() {
 		err := o.streamFile(rt, st, sat)
@@ -221,7 +228,7 @@ func (o *SortOp) Run(rt *core.Runtime, pkt *core.Packet) error {
 	}()
 
 	// Phase 2: stream the sorted file (linear overlap; late arrivals read
-	// the same file through TryShare instead). A cancelled host with live
+	// the same file through TryAttach instead). A cancelled host with live
 	// phase-1 satellites keeps streaming: the satellites hold the prefix
 	// already produced, so they cannot be rescued by re-dispatch, and the
 	// host's cancellation (a satisfied LIMIT on its own result) is not
@@ -304,5 +311,5 @@ func (o *SortOp) mergeRuns(rt *core.Runtime, runNames []string, ncols int, less 
 
 var _ interface {
 	core.Operator
-	core.Sharer
+	core.Attacher
 } = (*SortOp)(nil)

@@ -1,7 +1,7 @@
 // Package buffer implements the buffer-pool manager that sits between the
 // access methods and the simulated disk. It supports pin/unpin semantics,
-// dirty-page write-back and pluggable replacement policies (LRU, CLOCK,
-// LRU-K, 2Q, ARC — the family the paper surveys in §2.1).
+// dirty-page write-back and pluggable replacement policies (LRU and 2Q,
+// from the family the paper surveys in §2.1).
 //
 // The pool is the *only* sharing mechanism available to the baseline systems
 // in the paper's experiments: if two queries' page requests are far enough

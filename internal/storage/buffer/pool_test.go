@@ -167,11 +167,7 @@ func TestPoolPolicyNames(t *testing.T) {
 		name string
 	}{
 		{NewLRU(), "lru"},
-		{NewClock(), "clock"},
-		{NewLRUK(2), "lru-2"},
-		{NewLRUK(3), "lru-k"},
 		{NewTwoQ(8), "2q"},
-		{NewARC(8), "arc"},
 	} {
 		p := NewPool(d, 8, tc.pol)
 		if p.PolicyName() != tc.name {
@@ -210,8 +206,8 @@ func runTrace(t *testing.T, pol func() Policy, capacity int, trace []int64) int6
 }
 
 // TestScanResistance: a working set re-referenced between large sequential
-// scans. Scan-resistant policies (2Q, ARC, LRU-2) must keep the working set
-// resident; plain LRU flushes it on every scan pass.
+// scans. The scan-resistant 2Q must keep the working set resident; plain
+// LRU flushes it on every scan pass.
 func TestScanResistance(t *testing.T) {
 	var trace []int64
 	// Working set: blocks 0..3 (hot), referenced twice per round (the second
@@ -229,16 +225,8 @@ func TestScanResistance(t *testing.T) {
 	cap := 8
 	lruHits := runTrace(t, func() Policy { return NewLRU() }, cap, trace)
 	twoqHits := runTrace(t, func() Policy { return NewTwoQ(cap) }, cap, trace)
-	arcHits := runTrace(t, func() Policy { return NewARC(cap) }, cap, trace)
-	lrukHits := runTrace(t, func() Policy { return NewLRUK(2) }, cap, trace)
 	if twoqHits <= lruHits {
 		t.Errorf("2Q (%d hits) should beat LRU (%d hits) on scan-heavy trace", twoqHits, lruHits)
-	}
-	if arcHits <= lruHits {
-		t.Errorf("ARC (%d hits) should beat LRU (%d hits)", arcHits, lruHits)
-	}
-	if lrukHits <= lruHits {
-		t.Errorf("LRU-2 (%d hits) should beat LRU (%d hits)", lrukHits, lruHits)
 	}
 }
 
@@ -247,11 +235,8 @@ func TestScanResistance(t *testing.T) {
 // must always match (the policy can be arbitrary, the pool must be correct).
 func TestPoliciesCorrectUnderRandomTrace(t *testing.T) {
 	policies := map[string]func() Policy{
-		"lru":   func() Policy { return NewLRU() },
-		"clock": func() Policy { return NewClock() },
-		"lru2":  func() Policy { return NewLRUK(2) },
-		"2q":    func() Policy { return NewTwoQ(6) },
-		"arc":   func() Policy { return NewARC(6) },
+		"lru": func() Policy { return NewLRU() },
+		"2q":  func() Policy { return NewTwoQ(6) },
 	}
 	for name, mk := range policies {
 		t.Run(name, func(t *testing.T) {
