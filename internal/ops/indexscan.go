@@ -39,8 +39,8 @@ type leafSource struct {
 
 func (l *leafSource) numPages() int64 { return int64(len(l.pnos)) }
 
-func (l *leafSource) readPage(ord int64) ([]tuple.Tuple, error) {
-	return l.tree.ReadLeafTuples(l.pnos[ord], l.ncols)
+func (l *leafSource) readPage(ord int64, s *tuple.Scratch) error {
+	return l.tree.ReadLeafTuples(l.pnos[ord], l.ncols, s)
 }
 
 // IndexScanOp is the index-scan µEngine.
@@ -151,6 +151,7 @@ func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet,
 	// streaming straight to the consumer.
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 	pool := rt.BatchPool()
+	var sc tuple.Scratch
 	for ord := 0; ord < start && ord < len(pnos); ord++ {
 		if cerr := pkt.Query.CancelErr(); cerr != nil {
 			return cerr
@@ -158,11 +159,10 @@ func (o *IndexScanOp) runMaterializedOrdered(rt *core.Runtime, pkt *core.Packet,
 		if pkt.Cancelled() {
 			return nil
 		}
-		rows, err := tr.ReadLeafTuples(pnos[ord], tb.Schema.Len())
-		if err != nil {
+		if err := tr.ReadLeafTuples(pnos[ord], tb.Schema.Len(), &sc); err != nil {
 			return err
 		}
-		if err := emitBatch(em, pool, applyFilterProject(rows, node.Filter, node.Project, pool)); err != nil {
+		if err := emitBatch(em, pool, keptRows(&sc, node.Filter, node.Project, pool)); err != nil {
 			return emitResult(err)
 		}
 	}
@@ -278,22 +278,22 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 	if node.Lo.IsValid() || node.Hi.IsValid() {
 		// Bounded clustered scan: stream the B+tree range directly (no
 		// page-stream sharing; signature-identical packets still dedupe).
+		// Each entry decodes into scratch; only rows the filter keeps are
+		// copied out.
 		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
+		var sc tuple.Scratch
 		var arena tuple.RowArena
 		var derr error
 		err := tr.Range(node.Lo, node.Hi, func(_ tuple.Value, payload []byte) bool {
-			row, _, e := tuple.DecodeArena(payload, ncols, &arena)
-			if e != nil {
-				derr = e
+			sc.Reset(1, ncols)
+			if derr = sc.Decode(payload, ncols); derr != nil {
 				return false
 			}
+			row := sc.Rows[0]
 			if node.Filter != nil && !node.Filter.Test(row) {
 				return true
 			}
-			if node.Project != nil {
-				row = arena.Project(row, node.Project)
-			}
-			if pkt.Cancelled() || em.add(row) != nil {
+			if pkt.Cancelled() || em.add(arena.Copy(row, node.Project)) != nil {
 				return false
 			}
 			return true
@@ -329,6 +329,7 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 		// Partial scans stream their range directly and never host sharing.
 		em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
 		pool := rt.BatchPool()
+		var sc tuple.Scratch
 		for ord := lo; ord < hi; ord++ {
 			if cerr := pkt.Query.CancelErr(); cerr != nil {
 				return cerr
@@ -336,11 +337,10 @@ func (o *IndexScanOp) runClustered(rt *core.Runtime, pkt *core.Packet, tb *sm.Ta
 			if pkt.Cancelled() {
 				return nil
 			}
-			rows, err := src.readPage(int64(ord))
-			if err != nil {
+			if err := src.readPage(int64(ord), &sc); err != nil {
 				return err
 			}
-			if err := emitBatch(em, pool, applyFilterProject(rows, node.Filter, node.Project, pool)); err != nil {
+			if err := emitBatch(em, pool, keptRows(&sc, node.Filter, node.Project, pool)); err != nil {
 				return emitResult(err)
 			}
 		}
@@ -389,8 +389,11 @@ func (o *IndexScanOp) runUnclustered(rt *core.Runtime, pkt *core.Packet, tb *sm.
 	// removing the old. Both ghosts are filtered here — a tombstoned RID is
 	// skipped, and a fetched row whose indexed column no longer equals the
 	// entry's key belongs to a newer version reachable through its own entry.
+	// Each fetched row decodes into scratch; only rows the filter keeps are
+	// copied out.
 	keyIx := tb.Schema.MustColIndex(node.Col)
 	em := newEmitter(pkt, rt.BatchSizeFor(pkt.Query))
+	var sc tuple.Scratch
 	var arena tuple.RowArena
 	for _, e := range entries {
 		if cerr := pkt.Query.CancelErr(); cerr != nil {
@@ -399,22 +402,18 @@ func (o *IndexScanOp) runUnclustered(rt *core.Runtime, pkt *core.Packet, tb *sm.
 		if pkt.Cancelled() {
 			return nil
 		}
-		row, err := tb.Heap.ReadTuple(e.rid)
-		if err != nil {
+		if err := tb.Heap.ReadTupleInto(e.rid, &sc); err != nil {
 			if errors.Is(err, heap.ErrDeleted) {
 				continue
 			}
 			return err
 		}
+		row := sc.Rows[0]
 		if tuple.Compare(row[keyIx], e.key) != 0 {
 			continue // ghost: key changed since this entry was made
 		}
 		if node.Filter == nil || node.Filter.Test(row) {
-			out := row
-			if node.Project != nil {
-				out = arena.Project(row, node.Project)
-			}
-			if err := em.add(out); err != nil {
+			if err := em.add(arena.Copy(row, node.Project)); err != nil {
 				return emitResult(err)
 			}
 		}

@@ -315,31 +315,38 @@ func TestUpdateSerializedAgainstScan(t *testing.T) {
 	}
 }
 
-func TestApplyFilterProjectLease(t *testing.T) {
-	// Under the lease protocol rows are shared by reference (they are
-	// immutable once published), but the output array must be distinct from
-	// the input's so each consumer advances and recycles independently.
-	in := []tuple.Tuple{{tuple.I64(1), tuple.I64(2)}}
-	out := applyFilterProject(in, nil, nil, nil)
-	if len(out) != 1 || &out[0][0] != &in[0][0] {
-		t.Fatal("unprojected rows should pass through by reference")
+func TestKeptRowsCopyOutOfScratch(t *testing.T) {
+	// Scan workers decode pages into reused scratch, so every row a consumer
+	// keeps must be a fresh copy: published rows are immutable and must not
+	// change when the worker decodes its next page.
+	decode := func(sc *tuple.Scratch, rows ...tuple.Tuple) {
+		sc.Reset(len(rows), 2)
+		for _, r := range rows {
+			if err := sc.Decode(r.Encode(nil), 2); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	out[0] = tuple.Tuple{tuple.I64(99)}
-	if in[0][0].I != 1 {
-		t.Fatal("output array must not alias the input array")
+	var sc tuple.Scratch
+	decode(&sc, tuple.Tuple{tuple.I64(1), tuple.I64(2)}, tuple.Tuple{tuple.I64(3), tuple.I64(4)})
+	all := keptRows(&sc, nil, nil, nil)
+	if len(all) != 2 || &all[0][0] == &sc.Rows[0][0] {
+		t.Fatal("kept rows must be copies, not views of the scratch")
 	}
-	filtered := applyFilterProject(in, expr.EQ(expr.Col(0), expr.CInt(5)), nil, nil)
-	if len(filtered) != 0 {
-		t.Fatal("filter not applied")
+	proj := keptRows(&sc, expr.EQ(expr.Col(0), expr.CInt(3)), []int{1}, nil)
+	if len(proj) != 1 || len(proj[0]) != 1 || proj[0][0].I != 4 {
+		t.Fatalf("filter+projection: %v", proj)
 	}
-	proj := applyFilterProject(in, nil, []int{1}, nil)
-	if len(proj[0]) != 1 || proj[0][0].I != 2 {
-		t.Fatalf("projection: %v", proj)
+	if cap(proj[0]) != 1 {
+		t.Fatalf("kept row has spare capacity %d: an append could clobber a neighbour", cap(proj[0]))
 	}
-	// Projection rows are fresh (arena-carved), never views of the input.
-	proj[0][0] = tuple.I64(7)
-	if in[0][1].I != 2 {
-		t.Fatal("projected row aliases the input tuple")
+	if none := keptRows(&sc, expr.EQ(expr.Col(0), expr.CInt(5)), nil, nil); none != nil {
+		t.Fatalf("a filter that keeps nothing must return no batch, got %v", none)
+	}
+	// The worker's next page overwrites the scratch in place.
+	decode(&sc, tuple.Tuple{tuple.I64(9), tuple.I64(9)}, tuple.Tuple{tuple.I64(9), tuple.I64(9)})
+	if all[0][0].I != 1 || all[1][1].I != 4 || proj[0][0].I != 4 {
+		t.Fatalf("published rows changed with the scratch: %v %v", all, proj)
 	}
 }
 

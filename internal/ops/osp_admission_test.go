@@ -118,6 +118,10 @@ func TestOSPAdmissionSimultaneousScansShareOneGroup(t *testing.T) {
 		return
 	}
 	checkAnswers(t, qs, want)
+	// A scan packet completes its consumers before its µEngine counts it
+	// as run; Close returns only after every packet goroutine has exited,
+	// so the counters read below are final.
+	rt.Close()
 	st := rt.Stats()
 	if got := st.SharesByOp[plan.OpTableScan]; got != n-1 {
 		t.Fatalf("scan-group attaches: %d, want %d", got, n-1)
@@ -127,16 +131,22 @@ func TestOSPAdmissionSimultaneousScansShareOneGroup(t *testing.T) {
 	}
 }
 
-// gatedScan holds the table-scan µEngine's Run until gate closes, so a
-// test can act between a scan packet's admission and its Run.
+// scanOperator is a scan µEngine: an operator with its own OSP admission.
+type scanOperator interface {
+	core.Operator
+	core.Attacher
+}
+
+// gatedScan holds a scan µEngine's Run until gate closes, so a test can act
+// between a scan packet's admission and its Run.
 type gatedScan struct {
-	*TableScanOp
+	scanOperator
 	gate chan struct{}
 }
 
 func (g *gatedScan) Run(rt *core.Runtime, pkt *core.Packet) error {
 	<-g.gate
-	return g.TableScanOp.Run(rt, pkt)
+	return g.scanOperator.Run(rt, pkt)
 }
 
 // TestOSPAdmissionPendingGroupHostCancelled: satellites attached to a scan
@@ -150,7 +160,7 @@ func TestOSPAdmissionPendingGroupHostCancelled(t *testing.T) {
 	ops := All()
 	for i, op := range ops {
 		if ts, ok := op.(*TableScanOp); ok {
-			ops[i] = &gatedScan{TableScanOp: ts, gate: gate}
+			ops[i] = &gatedScan{scanOperator: ts, gate: gate}
 		}
 	}
 	rt := newRT(t, admissionRows, core.DefaultConfig())

@@ -20,8 +20,8 @@ func parCfg(par int) core.Config {
 
 type fakeSource struct{ n int64 }
 
-func (f fakeSource) numPages() int64                       { return f.n }
-func (f fakeSource) readPage(int64) ([]tuple.Tuple, error) { return nil, nil }
+func (f fakeSource) numPages() int64                      { return f.n }
+func (f fakeSource) readPage(int64, *tuple.Scratch) error { return nil }
 
 func TestPartitionBoundaries(t *testing.T) {
 	for _, tc := range []struct {

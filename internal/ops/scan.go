@@ -10,8 +10,10 @@
 // µEngine, so packets with *different* predicates still share one page
 // stream — which is exactly why QPipe keeps saving I/O in the full-workload
 // experiment (Figure 12) even though qgen randomizes every query's selection
-// predicates. Ordered scans require page order and always run with a single
-// partition.
+// predicates. They are applied filter first: each partition worker decodes
+// a page into its own scratch, reused page to page, and copies out only the
+// rows a consumer keeps (see servePage); scratch rows are never published.
+// Ordered scans require page order and always run with a single partition.
 package ops
 
 import (
@@ -27,10 +29,11 @@ import (
 )
 
 // pageSource abstracts the page-granular data under a scan: heap files for
-// table scans, B+tree leaf chains for clustered index scans.
+// table scans, B+tree leaf chains for clustered index scans. readPage
+// decodes page ord's rows into s (see tuple.Scratch).
 type pageSource interface {
 	numPages() int64
-	readPage(ord int64) ([]tuple.Tuple, error)
+	readPage(ord int64, s *tuple.Scratch) error
 }
 
 // partition is one contiguous page range [lo, hi) of a scan group, with its
@@ -52,6 +55,10 @@ type scanConsumer struct {
 	remaining []int64 // pages still owed, per partition
 	pending   int     // partitions with remaining > 0
 }
+
+// passThrough reports whether the consumer keeps every row of every page
+// unchanged (no filter, no projection).
+func (c *scanConsumer) passThrough() bool { return c.filter == nil && c.project == nil }
 
 // scanner is the paper's "scanner thread", generalized to a partitioned scan
 // group: it owns one cursor per partition of the page stream and multiplexes
@@ -239,9 +246,11 @@ func (s *scanner) hungryLocked(k int) bool {
 
 // runPartition is one partition's worker loop: read the next page of the
 // range (wrapping at the partition boundary on circular scans) and serve it
-// to every consumer that still owes pages here. With no hungry consumer the
+// to every consumer still owed pages here. With no hungry consumer the
 // worker parks until a satellite attaches or the group tears down.
 func (s *scanner) runPartition(k int) {
+	var sc tuple.Scratch // this worker's decode space, reused page to page
+	var owed []*scanConsumer
 	for {
 		s.mu.Lock()
 		for {
@@ -273,24 +282,73 @@ func (s *scanner) runPartition(k int) {
 		}
 		pg := p.pos
 		p.pos++
-		consumers := append([]*scanConsumer(nil), s.consumers...)
+		// Only this worker decrements remaining[k], so every consumer owed
+		// this page now is still owed it when served.
+		owed = owed[:0]
+		for _, c := range s.consumers {
+			if c.remaining[k] > 0 {
+				owed = append(owed, c)
+			}
+		}
 		s.mu.Unlock()
 
-		tuples, err := s.src.readPage(pg)
-		if err != nil {
+		if err := s.servePage(k, pg, owed, &sc); err != nil {
 			s.fail(err)
 			return
-		}
-		for _, c := range consumers {
-			s.serve(c, k, tuples)
 		}
 	}
 }
 
-// serve delivers one page to one consumer on behalf of partition k. Only
-// partition k's worker decrements remaining[k], so per-consumer page
-// accounting needs no coordination beyond the scanner lock; the Put itself
-// happens unlocked so a slow consumer only throttles this partition.
+// servePage reads page pg and serves it to the consumers owed it on behalf
+// of partition k. Filter first: unless every one of them keeps every row,
+// the page decodes into the worker's scratch sc, and each consumer receives
+// copies of only the rows it keeps — projected if it projects — in a chunk
+// sized for exactly those rows, while pass-through consumers share one full
+// copy made at most once. When all of them are pass-through the page
+// decodes straight into one fresh arena that they share. Scratch rows never
+// leave this function: every row Put is GC-owned and immutable.
+func (s *scanner) servePage(k int, pg int64, owed []*scanConsumer, sc *tuple.Scratch) error {
+	allPass := true
+	for _, c := range owed {
+		allPass = allPass && c.passThrough()
+	}
+	// full is the whole page, GC-owned, shared by the pass-through
+	// consumers; fullReady tells an empty page apart from one not yet
+	// copied out of scratch.
+	var full []tuple.Tuple
+	fullReady := allPass
+	if allPass {
+		var fresh tuple.Scratch
+		if err := s.src.readPage(pg, &fresh); err != nil {
+			return err
+		}
+		full = fresh.Rows
+	} else if err := s.src.readPage(pg, sc); err != nil {
+		return err
+	}
+	for _, c := range owed {
+		var out tbuf.Batch
+		if !c.passThrough() {
+			out = keptRows(sc, c.filter, c.project, s.pool)
+		} else {
+			if !fullReady {
+				sc.Select(nil)
+				full, fullReady = sc.AppendKept(make([]tuple.Tuple, 0, len(sc.Rows)), nil), true
+			}
+			if len(full) > 0 {
+				out = append(s.pool.GetCap(len(full)), full...)
+			}
+		}
+		s.serve(c, k, out)
+	}
+	return nil
+}
+
+// serve delivers one page's kept rows (out, leased; empty when nothing
+// matched) to one consumer on behalf of partition k. Only partition k's
+// worker decrements remaining[k], so per-consumer page accounting needs no
+// coordination beyond the scanner lock; the Put itself happens unlocked so a
+// slow consumer only throttles this partition.
 //
 // Cancellation is detected through the consumer's output port, not the
 // packet flag: a cancelled query abandons its own buffers (Put then fails),
@@ -298,14 +356,7 @@ func (s *scanner) runPartition(k int) {
 // attached to its port, which must keep receiving the full stream — eagerly
 // dropping the consumer would hand those satellites a truncated stream with
 // a clean EOF.
-func (s *scanner) serve(c *scanConsumer, k int, tuples []tuple.Tuple) {
-	s.mu.Lock()
-	owed := c.remaining[k] > 0
-	s.mu.Unlock()
-	if !owed {
-		return
-	}
-	out := applyFilterProject(tuples, c.filter, c.project, s.pool)
+func (s *scanner) serve(c *scanConsumer, k int, out tbuf.Batch) {
 	if len(out) > 0 {
 		if err := c.pkt.Out.Put(out); err != nil {
 			if errors.Is(err, tbuf.ErrConsumersGone) || errors.Is(err, tbuf.ErrAbandoned) {
@@ -320,8 +371,6 @@ func (s *scanner) serve(c *scanConsumer, k int, tuples []tuple.Tuple) {
 			return
 		}
 	} else {
-		// Nothing matched: hand the unused array's lease straight back.
-		s.pool.Put(out)
 		if c.pkt.Cancelled() && !c.pkt.Out.PruneDead() {
 			// A cancelled consumer whose filter matches nothing never Puts, so
 			// the port would never report its death — probe explicitly rather
@@ -484,12 +533,12 @@ func driveGroup(reg *scanRegistry, key string, pkt *core.Packet, newGroup func()
 type heapSource struct {
 	f interface {
 		NumPages() int64
-		ReadPage(int64) ([]tuple.Tuple, error)
+		ReadPage(int64, *tuple.Scratch) error
 	}
 }
 
-func (h heapSource) numPages() int64                         { return h.f.NumPages() }
-func (h heapSource) readPage(p int64) ([]tuple.Tuple, error) { return h.f.ReadPage(p) }
+func (h heapSource) numPages() int64                          { return h.f.NumPages() }
+func (h heapSource) readPage(p int64, s *tuple.Scratch) error { return h.f.ReadPage(p, s) }
 
 // TableScanOp is the file-scan µEngine with partitioned circular-scan
 // sharing.

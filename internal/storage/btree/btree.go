@@ -525,25 +525,44 @@ func (t *Tree) LeafPageNos() ([]int64, error) {
 	return out, nil
 }
 
-// ReadLeafTuples reads one leaf page and decodes each payload as a tuple of
-// ncols columns (clustered index leaves store full tuples).
-func (t *Tree) ReadLeafTuples(pno int64, ncols int) ([]tuple.Tuple, error) {
-	n, err := t.readNode(pno)
+// ReadLeafTuples decodes one leaf page's payloads into s as tuples of ncols
+// columns (clustered index leaves store full tuples), straight from the
+// pinned page: keys are skipped rather than decoded and no payload is copied
+// first. s is a scan worker's reused scratch or a fresh Scratch, as in
+// heap.File.ReadPage.
+func (t *Tree) ReadLeafTuples(pno int64, ncols int, s *tuple.Scratch) error {
+	id := buffer.PageID{File: t.Name, Block: pno}
+	buf, err := t.pool.Pin(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if !n.leaf {
-		return nil, fmt.Errorf("btree: page %d is not a leaf", pno)
+	defer t.pool.Unpin(id)
+	if buf[0] != 1 {
+		return fmt.Errorf("btree: page %d is not a leaf", pno)
 	}
-	out := make([]tuple.Tuple, 0, len(n.entries))
-	for i, e := range n.entries {
-		tp, _, err := tuple.Decode(e.payload, ncols)
+	cnt := int(binary.LittleEndian.Uint16(buf[1:3]))
+	s.Reset(cnt, ncols)
+	off := hdrSize
+	for i := 0; i < cnt; i++ {
+		kw, err := tuple.ValueLen(buf[off:])
 		if err != nil {
-			return nil, fmt.Errorf("btree: leaf %d entry %d: %w", pno, i, err)
+			return fmt.Errorf("btree: leaf %d entry %d: %w", pno, i, err)
 		}
-		out = append(out, tp)
+		off += kw
+		if off+4 > len(buf) {
+			return fmt.Errorf("btree: leaf %d entry %d: truncated payload length", pno, i)
+		}
+		ln := int(binary.LittleEndian.Uint32(buf[off:]))
+		off += 4
+		if off+ln > len(buf) {
+			return fmt.Errorf("btree: leaf %d entry %d: truncated payload", pno, i)
+		}
+		if err := s.Decode(buf[off:off+ln], ncols); err != nil {
+			return fmt.Errorf("btree: leaf %d entry %d: %w", pno, i, err)
+		}
+		off += ln
 	}
-	return out, nil
+	return nil
 }
 
 // NumLeaves counts leaf pages (a full leaf walk; used at plan time to size

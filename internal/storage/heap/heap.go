@@ -116,17 +116,18 @@ func (f *File) Sync() error {
 	return f.flushLastLocked()
 }
 
-// ReadPage pins page pno and decodes all its tuples. The page is unpinned
-// before returning (tuples are copies).
-func (f *File) ReadPage(pno int64) ([]tuple.Tuple, error) {
+// ReadPage pins page pno and decodes its live tuples into s (see
+// page.DecodeInto): a scan worker's reused scratch, or a fresh Scratch whose
+// rows the caller may publish as they are. The page is unpinned before
+// returning (the rows are copies).
+func (f *File) ReadPage(pno int64, s *tuple.Scratch) error {
 	id := buffer.PageID{File: f.Name, Block: pno}
 	raw, err := f.pool.Pin(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.pool.Unpin(id)
-	p := page.FromBytes(raw)
-	return p.Tuples(f.Schema.Len())
+	return page.FromBytes(raw).DecodeInto(f.Schema.Len(), s)
 }
 
 // ErrDeleted is returned by ReadTuple for a tombstoned RID. Unclustered
@@ -138,17 +139,32 @@ var ErrDeleted = errors.New("heap: tuple deleted")
 // ReadTuple fetches a single tuple by RID. Returns ErrDeleted (possibly
 // wrapped) if the slot is tombstoned.
 func (f *File) ReadTuple(rid RID) (tuple.Tuple, error) {
+	var fresh tuple.Scratch
+	if err := f.ReadTupleInto(rid, &fresh); err != nil {
+		return nil, err
+	}
+	return fresh.Rows[0], nil
+}
+
+// ReadTupleInto is ReadTuple into caller-owned decode space: the tuple at
+// rid becomes s's only row (see tuple.Scratch).
+func (f *File) ReadTupleInto(rid RID, s *tuple.Scratch) error {
 	id := buffer.PageID{File: f.Name, Block: rid.Page}
 	raw, err := f.pool.Pin(id)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.pool.Unpin(id)
 	p := page.FromBytes(raw)
 	if p.Tombstone(rid.Slot) {
-		return nil, fmt.Errorf("heap: %s slot %d: %w", f.Name, rid.Slot, ErrDeleted)
+		return fmt.Errorf("heap: %s slot %d: %w", f.Name, rid.Slot, ErrDeleted)
 	}
-	return p.Tuple(rid.Slot, f.Schema.Len())
+	payload, err := p.Payload(rid.Slot)
+	if err != nil {
+		return err
+	}
+	s.Reset(1, f.Schema.Len())
+	return s.Decode(payload, f.Schema.Len())
 }
 
 // ReplaceAt overwrites the tuple at rid in place (same RID after the

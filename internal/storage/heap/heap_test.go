@@ -152,17 +152,17 @@ func TestReadPage(t *testing.T) {
 	}
 	f.Sync()
 	total := 0
+	var sc tuple.Scratch
 	for p := int64(0); p < f.NumPages(); p++ {
-		ts, err := f.ReadPage(p)
-		if err != nil {
+		if err := f.ReadPage(p, &sc); err != nil {
 			t.Fatal(err)
 		}
-		total += len(ts)
+		total += len(sc.Rows)
 	}
 	if total != 40 {
 		t.Errorf("ReadPage total = %d", total)
 	}
-	if _, err := f.ReadPage(f.NumPages()); err == nil {
+	if err := f.ReadPage(f.NumPages(), &sc); err == nil {
 		t.Error("ReadPage past EOF should fail")
 	}
 }

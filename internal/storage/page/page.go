@@ -187,40 +187,38 @@ func (p *Page) InsertTupleScratch(t tuple.Tuple, scratch []byte) (int, []byte, e
 	return slot, scratch, err
 }
 
-// Tuple decodes the tuple in slot i, which must have ncols columns.
-func (p *Page) Tuple(i, ncols int) (tuple.Tuple, error) {
-	raw, err := p.Payload(i)
-	if err != nil {
+// Tuples decodes every live tuple in the page into one fresh arena, skipping
+// tombstoned slots (the returned list is compacted, so positions do not
+// correspond to slot numbers — use Tombstone/Payload for RID-accurate
+// iteration). The rows are independent of the page buffer and immutable, per
+// the engine's tuple lease protocol; readers that need every row of a page
+// (spill files) use it.
+func (p *Page) Tuples(ncols int) ([]tuple.Tuple, error) {
+	var fresh tuple.Scratch
+	if err := p.DecodeInto(ncols, &fresh); err != nil {
 		return nil, err
 	}
-	t, _, err := tuple.Decode(raw, ncols)
-	return t, err
+	return fresh.Rows, nil
 }
 
-// Tuples decodes every live tuple in the page, skipping tombstoned slots
-// (the returned list is compacted, so positions do not correspond to slot
-// numbers — use Tombstone/Tuple for RID-accurate iteration). All rows carve
-// out of one arena chunk (one allocation per page rather than one per row);
-// they are independent of the page buffer and immutable, per the engine's
-// tuple lease protocol.
-func (p *Page) Tuples(ncols int) ([]tuple.Tuple, error) {
+// DecodeInto is Tuples into caller-owned decode space: the page's live
+// tuples replace s's rows, reusing its buffers when they are large enough.
+// A scan worker decodes every page into its own scratch this way and copies
+// out only the rows a consumer keeps (tuple.Scratch.AppendKept).
+func (p *Page) DecodeInto(ncols int, s *tuple.Scratch) error {
 	n := p.NumSlots()
-	out := make([]tuple.Tuple, 0, n)
-	var arena tuple.RowArena
-	arena.Grow(n * ncols)
+	s.Reset(n, ncols)
 	for i := 0; i < n; i++ {
 		if p.Tombstone(i) {
 			continue
 		}
 		raw, err := p.Payload(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		t, _, err := tuple.DecodeArena(raw, ncols, &arena)
-		if err != nil {
-			return nil, err
+		if err := s.Decode(raw, ncols); err != nil {
+			return err
 		}
-		out = append(out, t)
 	}
-	return out, nil
+	return nil
 }

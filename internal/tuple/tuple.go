@@ -209,12 +209,12 @@ func (t Tuple) Project(idxs []int) Tuple {
 const arenaChunkValues = 4096
 
 // RowArena bulk-allocates tuple rows, replacing one heap allocation per row
-// (join Concat output, projection rows, decoded page tuples) with one per
-// chunk. Rows carved from an arena follow the engine's lease protocol for
-// tuples: they are immutable once published to a consumer, so sharing one
-// backing chunk across many rows is safe, and the chunk is garbage-collected
-// as one object when the last row referencing it dies. Arenas are not
-// goroutine-safe; every parallel worker owns its own.
+// (join Concat output, projection rows, rows kept by row-at-a-time readers)
+// with one per chunk. Rows carved from an arena follow the engine's lease
+// protocol for tuples: they are immutable once published to a consumer, so
+// sharing one backing chunk across many rows is safe, and the chunk is
+// garbage-collected as one object when the last row referencing it dies.
+// Arenas are not goroutine-safe; every parallel worker owns its own.
 //
 // The zero RowArena is ready to use.
 type RowArena struct {
@@ -263,6 +263,106 @@ func (a *RowArena) Project(t Tuple, idxs []int) Tuple {
 		c[i] = t[ix]
 	}
 	return c
+}
+
+// Copy copies t into an arena-carved row, projected onto project when it is
+// non-nil: how a row-at-a-time reader keeps a scratch row it decoded.
+func (a *RowArena) Copy(t Tuple, project []int) Tuple {
+	if project != nil {
+		return a.Project(t, project)
+	}
+	c := a.Make(len(t))
+	copy(c, t)
+	return c
+}
+
+// ---- Scratch decode ---------------------------------------------------------
+
+// Predicate is a row test (expr.Pred satisfies it).
+type Predicate interface {
+	Test(t Tuple) bool
+}
+
+// Scratch is decode space for one page of rows: Rows are views into one
+// value buffer that the next Reset overwrites. A scan worker owns one and
+// decodes every page into it, so its rows must never be published — Select
+// and AppendKept copy out only the rows a consumer keeps. A Scratch used for
+// a single page and then dropped is instead a fresh arena: its Rows are
+// GC-owned and publishable as they are. The zero Scratch is ready to use.
+type Scratch struct {
+	Rows []Tuple
+	vals []Value
+	keep []int32 // indices into Rows of the last Select's survivors
+}
+
+// Reset empties the scratch for a page of up to n rows of ncols values,
+// growing its buffers only when they are too small.
+func (s *Scratch) Reset(n, ncols int) {
+	if cap(s.vals) < n*ncols {
+		s.vals = make([]Value, 0, n*ncols)
+	}
+	if cap(s.Rows) < n {
+		s.Rows = make([]Tuple, 0, n)
+	}
+	s.vals, s.Rows = s.vals[:0], s.Rows[:0]
+}
+
+// Decode decodes one encoded row of ncols values into the scratch and
+// appends it to Rows. Strings are copied out of b, never aliased.
+func (s *Scratch) Decode(b []byte, ncols int) error {
+	l := len(s.vals)
+	if cap(s.vals)-l < ncols {
+		// More rows than Reset sized for: continue in a new buffer (rows
+		// already decoded keep the old one).
+		s.vals, l = make([]Value, 0, 2*cap(s.vals)+ncols), 0
+	}
+	s.vals = s.vals[:l+ncols]
+	t, _, err := decodeInto(b, s.vals[l:l+ncols:l+ncols])
+	if err != nil {
+		s.vals = s.vals[:l]
+		return err
+	}
+	s.Rows = append(s.Rows, t)
+	return nil
+}
+
+// Select evaluates pred over Rows (a nil pred keeps every row), remembers
+// the survivors for AppendKept and returns how many there are.
+func (s *Scratch) Select(pred Predicate) int {
+	s.keep = s.keep[:0]
+	for i, r := range s.Rows {
+		if pred == nil || pred.Test(r) {
+			s.keep = append(s.keep, int32(i))
+		}
+	}
+	return len(s.keep)
+}
+
+// AppendKept appends copies of the last Select's survivors to dst,
+// projected onto project when it is non-nil. The copies carve from one
+// chunk sized for exactly their values, so they are GC-owned, independent of
+// the scratch and safe to publish.
+func (s *Scratch) AppendKept(dst []Tuple, project []int) []Tuple {
+	if len(s.keep) == 0 {
+		return dst
+	}
+	width := len(project)
+	if project == nil {
+		width = len(s.Rows[s.keep[0]])
+	}
+	chunk := make([]Value, len(s.keep)*width)
+	for j, i := range s.keep {
+		row := Tuple(chunk[j*width : (j+1)*width : (j+1)*width])
+		if src := s.Rows[i]; project == nil {
+			copy(row, src)
+		} else {
+			for c, ix := range project {
+				row[c] = src[ix]
+			}
+		}
+		dst = append(dst, row)
+	}
+	return dst
 }
 
 // String renders the tuple as (v1, v2, ...).
@@ -467,10 +567,33 @@ func Decode(b []byte, ncols int) (Tuple, int, error) {
 }
 
 // DecodeArena is Decode with the row carved from an arena (bulk decode paths
-// — page reads, spill readers — decode many rows back to back and pay one
-// chunk allocation instead of one per row).
+// — heap-file iteration, wire row batches — decode many rows back to back
+// and pay one chunk allocation instead of one per row).
 func DecodeArena(b []byte, ncols int, a *RowArena) (Tuple, int, error) {
 	return decodeInto(b, a.Make(ncols))
+}
+
+// ValueLen returns the encoded length of the single value at the head of b
+// (one column of an Encode), without decoding it.
+func ValueLen(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, fmt.Errorf("tuple: truncated value")
+	}
+	switch k := Kind(b[0]); k {
+	case KindInt, KindDate, KindFloat:
+		if len(b) < 9 {
+			return 0, fmt.Errorf("tuple: truncated %s value", k)
+		}
+		return 9, nil
+	case KindString:
+		n, w := binary.Uvarint(b[1:])
+		if w <= 0 || 1+w+int(n) > len(b) {
+			return 0, fmt.Errorf("tuple: truncated string value")
+		}
+		return 1 + w + int(n), nil
+	default:
+		return 0, fmt.Errorf("tuple: bad kind tag %d", k)
+	}
 }
 
 func decodeInto(b []byte, t Tuple) (Tuple, int, error) {

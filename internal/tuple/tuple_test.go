@@ -322,3 +322,19 @@ func TestDecodeArenaMatchesDecode(t *testing.T) {
 		t.Fatalf("DecodeArena %v != Decode %v", got, want)
 	}
 }
+
+func TestValueLen(t *testing.T) {
+	for _, v := range []Value{I64(-5), F64(2.75), Str(""), Str("a longer string value"), Date(9000)} {
+		enc := Tuple{v, I64(1)}.Encode(nil)
+		want := len(Tuple{v}.Encode(nil))
+		if got, err := ValueLen(enc); err != nil || got != want {
+			t.Fatalf("ValueLen(%v) = %d, %v; want %d", v, got, err, want)
+		}
+		if _, err := ValueLen(enc[:want-1]); err == nil {
+			t.Fatalf("ValueLen(%v) accepted a truncated encoding", v)
+		}
+	}
+	if _, err := ValueLen([]byte{0xff}); err == nil {
+		t.Fatal("ValueLen accepted a bad kind tag")
+	}
+}

@@ -13,11 +13,13 @@ package volcano
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
 	"qpipe/internal/expr"
 	"qpipe/internal/plan"
+	"qpipe/internal/storage/heap"
 	"qpipe/internal/storage/lock"
 	"qpipe/internal/storage/page"
 	"qpipe/internal/storage/sm"
@@ -177,6 +179,9 @@ func (e *Engine) RunDiscard(ctx context.Context, p plan.Node) (int64, error) {
 
 // ---- Scans ------------------------------------------------------------------
 
+// scanIter reads the heap page by page, filter first: each page decodes into
+// the iterator's scratch and only the rows the filter keeps are copied out
+// (projected), exactly as QPipe's scan µEngine serves one consumer.
 type scanIter struct {
 	ctx    context.Context
 	eng    *Engine
@@ -184,7 +189,8 @@ type scanIter struct {
 	node   *plan.TableScan
 	pno    int64
 	npages int64
-	batch  []tuple.Tuple
+	sc     tuple.Scratch
+	batch  []tuple.Tuple // the current page's kept rows
 	i      int
 	locked bool
 }
@@ -201,15 +207,9 @@ func (s *scanIter) Open() error {
 
 func (s *scanIter) Next() (tuple.Tuple, bool, error) {
 	for {
-		for s.i < len(s.batch) {
+		if s.i < len(s.batch) {
 			t := s.batch[s.i]
 			s.i++
-			if s.node.Filter != nil && !s.node.Filter.Test(t) {
-				continue
-			}
-			if s.node.Project != nil {
-				t = t.Project(s.node.Project)
-			}
 			return t, true, nil
 		}
 		if s.pno >= s.npages {
@@ -218,12 +218,14 @@ func (s *scanIter) Next() (tuple.Tuple, bool, error) {
 		if err := s.ctx.Err(); err != nil {
 			return nil, false, err
 		}
-		rows, err := s.tb.Heap.ReadPage(s.pno)
-		if err != nil {
+		if err := s.tb.Heap.ReadPage(s.pno, &s.sc); err != nil {
 			return nil, false, err
 		}
 		s.pno++
-		s.batch, s.i = rows, 0
+		s.sc.Select(s.node.Filter)
+		// The array is the iterator's own: rows already returned live on in
+		// their own chunk.
+		s.batch, s.i = s.sc.AppendKept(s.batch[:0], s.node.Project), 0
 	}
 }
 
@@ -254,6 +256,15 @@ func (s *indexIter) Open() error {
 	s.rows, s.i = nil, 0
 	n := s.node
 	ncols := s.tb.Schema.Len()
+	// Filter first: every candidate row decodes into scratch and only the
+	// rows the filter keeps are copied out (projected).
+	var sc tuple.Scratch
+	var arena tuple.RowArena
+	keep := func(row tuple.Tuple) {
+		if n.Filter == nil || n.Filter.Test(row) {
+			s.rows = append(s.rows, arena.Copy(row, n.Project))
+		}
+	}
 	if n.Clustered {
 		tr := s.tb.Clustered
 		if tr == nil {
@@ -261,12 +272,11 @@ func (s *indexIter) Open() error {
 		}
 		var derr error
 		err := tr.Range(n.Lo, n.Hi, func(_ tuple.Value, payload []byte) bool {
-			row, _, e := tuple.Decode(payload, ncols)
-			if e != nil {
-				derr = e
+			sc.Reset(1, ncols)
+			if derr = sc.Decode(payload, ncols); derr != nil {
 				return false
 			}
-			s.rows = append(s.rows, row)
+			keep(sc.Rows[0])
 			return true
 		})
 		if err != nil {
@@ -278,21 +288,19 @@ func (s *indexIter) Open() error {
 	if tr == nil {
 		return fmt.Errorf("volcano: no unclustered index on %q.%q", n.Table, n.Col)
 	}
-	var rids []struct {
-		page int64
-		slot int
+	type entry struct {
+		rid heap.RID
+		key tuple.Value
 	}
+	var entries []entry
 	var derr error
-	err := tr.Range(n.Lo, n.Hi, func(_ tuple.Value, payload []byte) bool {
+	err := tr.Range(n.Lo, n.Hi, func(key tuple.Value, payload []byte) bool {
 		rid, e := sm.DecodeRID(payload)
 		if e != nil {
 			derr = e
 			return false
 		}
-		rids = append(rids, struct {
-			page int64
-			slot int
-		}{rid.Page, rid.Slot})
+		entries = append(entries, entry{rid: rid, key: key})
 		return true
 	})
 	if err != nil {
@@ -302,39 +310,29 @@ func (s *indexIter) Open() error {
 		return derr
 	}
 	if !n.Ordered {
-		sort.Slice(rids, func(i, j int) bool {
-			if rids[i].page != rids[j].page {
-				return rids[i].page < rids[j].page
-			}
-			return rids[i].slot < rids[j].slot
-		})
+		sort.Slice(entries, func(i, j int) bool { return entries[i].rid.Less(entries[j].rid) })
 	}
-	var pageRows []tuple.Tuple
-	lastPage := int64(-1)
-	for _, rid := range rids {
-		if rid.page != lastPage {
-			pr, err := s.tb.Heap.ReadPage(rid.page)
-			if err != nil {
-				return err
+	// Index entries of deleted rows, and of rows whose key has since
+	// changed, are ghosts (see the QPipe index-scan µEngine): skip them.
+	keyIx := s.tb.Schema.MustColIndex(n.Col)
+	for _, e := range entries {
+		if err := s.tb.Heap.ReadTupleInto(e.rid, &sc); err != nil {
+			if errors.Is(err, heap.ErrDeleted) {
+				continue
 			}
-			pageRows, lastPage = pr, rid.page
+			return err
 		}
-		s.rows = append(s.rows, pageRows[rid.slot])
+		if row := sc.Rows[0]; tuple.Compare(row[keyIx], e.key) == 0 {
+			keep(row)
+		}
 	}
 	return nil
 }
 
 func (s *indexIter) Next() (tuple.Tuple, bool, error) {
-	n := s.node
-	for s.i < len(s.rows) {
+	if s.i < len(s.rows) {
 		t := s.rows[s.i]
 		s.i++
-		if n.Filter != nil && !n.Filter.Test(t) {
-			continue
-		}
-		if n.Project != nil {
-			t = t.Project(n.Project)
-		}
 		return t, true, nil
 	}
 	return nil, false, nil

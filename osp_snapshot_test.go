@@ -99,11 +99,16 @@ func TestOSPSnapshotConsistency(t *testing.T) {
 
 	for round := 0; round < rounds; round++ {
 		version := int64(round + 1) // committed state entering this round
+		read := d.FileReads("tbl:tt")
 		res1, err := eng.Query(ctx, mk())
 		if err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(10 * time.Millisecond) // host mid-scan
+		// Host mid-scan: wait for its first few pages rather than a fixed
+		// time, which a fast scan (or a slow scheduler) can overshoot.
+		for d.FileReads("tbl:tt") < read+4 {
+			time.Sleep(100 * time.Microsecond)
+		}
 		res2, err := eng.Query(ctx, mk()) // shared lock held once Query returns
 		if err != nil {
 			t.Fatal(err)

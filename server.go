@@ -323,13 +323,17 @@ func (c *serverConn) run() error {
 		case <-c.srv.shutdown:
 			// Engine drain in progress: serve what is already queued, then
 			// stop. Queries already streaming were cancelled by db.Close.
+			// With nothing queued the read loop may still be running, so
+			// readErr is not ours to read: it is published only by closing
+			// frames.
 			select {
 			case f, ok = <-c.frames:
 			default:
-				ok = false
+				return io.EOF // server-initiated close, not a peer error
 			}
 		}
 		if !ok {
+			// frames is closed: the read loop's readErr is visible.
 			if c.readErr == io.EOF {
 				return io.EOF
 			}

@@ -569,3 +569,78 @@ func TestServerConcurrentConns(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// slowFailConn delays every failed Read: the server's read loop learns
+// that its peer is gone only after delay, having closed failed first. Close
+// waits for that failure and a moment more, so the connection's handler
+// outlives the read loop's reaction to it — the race detector reliably
+// reports unsynchronized accesses only between live goroutines.
+type slowFailConn struct {
+	net.Conn
+	delay  time.Duration
+	failed chan struct{}
+}
+
+func (c *slowFailConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if err != nil {
+		time.Sleep(c.delay)
+		close(c.failed)
+	}
+	return n, err
+}
+
+func (c *slowFailConn) Close() error {
+	<-c.failed
+	time.Sleep(20 * time.Millisecond)
+	return c.Conn.Close()
+}
+
+// oneConnListener accepts conn once, then blocks until closed.
+type oneConnListener struct {
+	conn   net.Conn
+	once   sync.Once
+	closed chan struct{}
+}
+
+func (l *oneConnListener) Accept() (net.Conn, error) {
+	var c net.Conn
+	l.once.Do(func() { c = l.conn })
+	if c != nil {
+		return c, nil
+	}
+	<-l.closed
+	return nil, net.ErrClosed
+}
+
+func (l *oneConnListener) Close() error   { close(l.closed); return nil }
+func (l *oneConnListener) Addr() net.Addr { return l.conn.LocalAddr() }
+
+// TestServerShutdownWhilePeerHangsUp: a peer that hangs up while the server
+// shuts down. The handler takes the shutdown path with no frame queued
+// while the read loop is still about to record its read error; the handler
+// must return without reading that error (run with -race).
+func TestServerShutdownWhilePeerHangsUp(t *testing.T) {
+	db, err := qpipe.Open(qpipe.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := qpipe.NewServer(db, qpipe.ServerOptions{})
+	peer, end := net.Pipe()
+	conn := &slowFailConn{Conn: end, delay: 100 * time.Millisecond, failed: make(chan struct{})}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- srv.Serve(&oneConnListener{conn: conn, closed: make(chan struct{})}) }()
+
+	hello := wire.Hello{Version: wire.ProtocolVersion, Client: "hangup"}
+	if err := wire.WriteFrame(peer, wire.MsgHello, hello.Encode(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if mt, _, _, err := wire.ReadFrame(peer, nil); err != nil || mt != wire.MsgWelcome {
+		t.Fatalf("handshake: %v %v", mt, err)
+	}
+	peer.Close()
+	srv.Shutdown() // returns once the handler has, after the read loop failed
+	if err := <-serveErr; err != nil {
+		t.Fatalf("Serve returned %v after Shutdown, want nil", err)
+	}
+}
